@@ -1,0 +1,10 @@
+"""Import paths for the benchmark's own tests (``python3 -m pytest
+dslbench``): the benchmark modules and the repository's ``src``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(HERE), "src"), HERE):
+    if path not in sys.path:
+        sys.path.insert(0, path)
