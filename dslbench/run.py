@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 dslbench/run.py --workload explore-50k --seed 1 --seconds 30 \
+    python3 dslbench/run.py --workload explore-50k --seed 1 --seconds 25 \
         --trace 0
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs half
