@@ -2,13 +2,13 @@
 
 Usage, from the repository root::
 
-    python3 dslbench/run.py --workload explore-50k --seed 1 --seconds 25 \
+    python3 dslbench/run.py --workload explore-50k --seed 1 --seconds 27 \
         --trace 0
 
-``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs half
-the seconds untraced and half traced and reports the per-layer metrics
-(see ``README.md``).  ``--cores`` shrinks the generated layer for the
-smoke tests.  The last line of standard output is the result object.
+``--trace 0`` reports the end-to-end metrics; ``--trace 1`` alternates
+untraced and traced slices of the seconds and reports the per-layer
+metrics (see ``README.md``).  ``--cores`` shrinks the generated layer
+for the smoke tests.  The last line of standard output is the result object.
 """
 
 from __future__ import annotations
@@ -29,8 +29,14 @@ SRC = os.path.join(REPO, "src")
 #: Where traced runs write their JSONL traces (ignored by git).
 TRACE_DIR = os.path.join(REPO, ".dslbench-out")
 
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Set-ups per run; ``setup_s`` is their median.  The first one or two
+#: in a fresh process took up to twice as long as later ones, so the
+#: median of five is taken from set-ups past them.
+SETUP_REPEATS = 5
+#: Traced runs alternate this many untraced and as many traced slices,
+#: so drift in the host's speed falls on both sides of
+#: ``trace.overhead_ratio`` alike.
+TRACE_SLICES = 4
 DEFAULT_CORES = 50000
 
 END_TO_END_UNITS = {
@@ -55,6 +61,12 @@ def tail(samples: Sequence[float]) -> Tuple[float, float]:
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def throughput(phases) -> float:
+    """Operations completed per second over ``phases`` together."""
+    return (sum(p.completed for p in phases)
+            / sum(p.elapsed for p in phases))
 
 
 def set_up(workload) -> List[float]:
@@ -112,12 +124,15 @@ def traced(workload, seconds: float
               if name == "core.index.build"]
     tracer.uninstall()
     tracer.reset()
-    untraced = workload.measure(seconds / 2)
-    generation = workload.invalidations()
-    tracer.install()
-    phase = workload.measure(seconds / 2, tracer)
-    tracer.uninstall()
-    invalidations = workload.invalidations() - generation
+    untraced, phases, invalidations = [], [], 0
+    slice_s = seconds / (2 * TRACE_SLICES)
+    for _ in range(TRACE_SLICES):
+        untraced.append(workload.measure(slice_s))
+        generation = workload.invalidations()
+        tracer.install()
+        phases.append(workload.measure(slice_s, tracer))
+        tracer.uninstall()
+        invalidations += workload.invalidations() - generation
     builds += [end - start for _, _, name, start, end in tracer.spans
                if name == "core.index.build"]
     os.makedirs(TRACE_DIR, exist_ok=True)
@@ -129,13 +144,23 @@ def traced(workload, seconds: float
     metrics = layer_metrics(profile, tracer, ops,
                             roots.cum_s if roots else 0.0, builds)
     metrics["serve.snapshots.invalidations"] = float(invalidations)
-    metrics["trace.overhead_ratio"] = (
-        (untraced.completed / untraced.elapsed)
-        / (phase.completed / phase.elapsed))
+    metrics["trace.overhead_ratio"] = throughput(untraced) / throughput(phases)
     detail = {"trace": os.path.relpath(path, REPO), "traced_ops": ops,
-              "untraced_ops": untraced.completed,
+              "untraced_ops": sum(p.completed for p in untraced),
               "spans": len(tracer.spans)}
-    return metrics, detail, [untraced, phase]
+    return metrics, detail, untraced + phases
+
+
+def pin_to_one_cpu() -> None:
+    """Keep this process, and the threads it starts, on one CPU.
+
+    The serving workloads run client, server and handler threads in one
+    interpreter, passing the interpreter lock back and forth.  Free to
+    use both CPUs, ``serve-fresh`` swung between ~50 and ~95 requests/s
+    from run to run while the single-threaded ``explore-50k`` held
+    within 10%; on one CPU it held at ~95 (see README.md).
+    """
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def main(argv: Sequence[str] = ()) -> int:
@@ -150,6 +175,7 @@ def main(argv: Sequence[str] = ()) -> int:
         print(f"dslbench: no repro package under {SRC}; run from a full "
               "checkout", file=sys.stderr)
         return 2
+    pin_to_one_cpu()
     sys.path.insert(0, SRC)
     from workloads import WORKLOADS
     if args.workload not in WORKLOADS:

@@ -4,13 +4,16 @@ every end-to-end metric, the median, the quartiles and their spread.
 Usage, from the repository root::
 
     python3 dslbench/steady.py --runs 10 [--workloads explore-50k,...]
-        [--seconds 20] [--first-seed 1] [--json out.json]
+        [--seconds 20] [--first-seed 1]
 
 Each run is a fresh ``run.py`` process with its own seed, one after the
-other.  The spread is ``(q3 - q1) / median`` with the quartiles of
-``statistics.quantiles(values, n=4)``; a metric is flagged when its
-spread exceeds a third of its bound in ``BENCHMARK.json`` (``setup_s``
-has no spread limit).  The share of failed operations is printed too.
+other.  The workloads take turns, one run each per seed, so a slow
+stretch of the host is shared among them rather than charged to one
+workload's whole set.  The spread is ``(q3 - q1) / median`` with the
+quartiles of ``statistics.quantiles(values, n=4)``; a metric is flagged
+when its spread exceeds a third of its bound in ``BENCHMARK.json``.
+The share of failed operations is printed too.  Exits 1 when a metric
+is flagged or a run is not correct.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from typing import Dict, List
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -56,35 +60,35 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--json", help="also write the summary here")
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    summary: Dict[str, object] = {}
+    workloads = args.workloads.split(",")
+    results: Dict[str, List[Dict[str, object]]] = {w: [] for w in workloads}
+    for seed in range(args.first_seed, args.first_seed + args.runs):
+        for workload in workloads:
+            started = time.monotonic()
+            result = run_once(workload, seed, args.seconds)
+            results[workload].append(result)
+            print(f"  {workload} seed {seed} "
+                  f"({time.monotonic() - started:.0f} s): " + ", ".join(
+                f"{name} {m['value']:.4g}"
+                for name, m in result["metrics"].items()), flush=True)
     steady = True
-    for workload in args.workloads.split(","):
-        results = [run_once(workload, seed, args.seconds)
-                   for seed in range(args.first_seed,
-                                     args.first_seed + args.runs)]
-        shares = sorted({r["failed"] / r["attempted"] for r in results})
-        print(f"{workload}: {args.runs} runs, correct "
-              f"{all(r['correct'] for r in results)}, failed shares "
-              f"{shares}")
-        rows = {}
+    for workload in workloads:
+        runs = results[workload]
+        correct = all(r["correct"] for r in runs)
+        shares = sorted({r["failed"] / r["attempted"] for r in runs})
+        steady &= correct
+        print(f"{workload}: {args.runs} runs, correct {correct}, "
+              f"failed shares {shares}")
         for name, bound in bounds.items():
-            stats = summarize([r["metrics"][name]["value"]
-                               for r in results])
-            flagged = name != "setup_s" and stats["spread"] > bound / 3
+            stats = summarize([r["metrics"][name]["value"] for r in runs])
+            flagged = stats["spread"] > bound / 3
             steady &= not flagged
-            rows[name] = dict(stats, bound=bound, flagged=flagged)
             print(f"  {name:<18} median {stats['median']:12.4f}  "
                   f"q1 {stats['q1']:12.4f}  q3 {stats['q3']:12.4f}  "
                   f"spread {stats['spread']:.4f}  bound {bound}"
                   f"{'  > bound/3' if flagged else ''}")
-        summary[workload] = {"metrics": rows, "failed_shares": shares,
-                             "runs": results}
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump(summary, fp, indent=2)
     return 0 if steady else 1
 
 

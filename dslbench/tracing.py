@@ -22,10 +22,11 @@ import time
 import urllib.request
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+clock = time.perf_counter
+
 #: (owner, attribute, span name, kind).  ``kind`` is ``"call"`` for
-#: functions and methods, ``"property"`` for properties, ``"count"`` for
-#: calls that are only counted, and the three special kinds handled in
-#: :meth:`SpanTracer._wrapper`.
+#: functions and methods, ``"property"`` for properties, and the four
+#: special kinds handled in :meth:`SpanTracer._wrapper`.
 SPANS: Sequence[Tuple[str, str, str, str]] = (
     ("repro.core.index:CoreIndex", "__init__", "core.index.build", "call"),
     ("repro.core.index:CoreIndex", "requirement_ids",
@@ -58,7 +59,7 @@ SPANS: Sequence[Tuple[str, str, str, str]] = (
     ("repro.core.session:DecisionOutcome", "eliminated_count",
      "core.session.outcome", "property"),
     ("repro.core.explore.engine:SearchContext", "branch_open",
-     "core.explore.branch_open", "count"),
+     "core.explore.branch_open", "call"),
     ("repro.core.explore.outcome:ParetoFrontier", "add",
      "core.explore.frontier_add", "call"),
     ("repro.core.layer:DesignSpaceLayer", "epoch", "core.layer.epoch",
@@ -101,13 +102,10 @@ class SpanTracer:
     so one process can measure untraced and traced phases back to back.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter
-                 ) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self.spans: List[Span] = []
-        self.counts: Dict[str, List[None]] = {}
         #: Sizes of the responses ``canonical_json`` rendered.
         self.sizes: List[int] = []
         self._saved: List[Tuple[object, str, object]] = []
@@ -124,8 +122,7 @@ class SpanTracer:
 
     def traced(self, name: str, fn: Callable) -> Callable:
         """``fn`` recording one span named ``name`` per call."""
-        ids, spans, stack_of, clock = (self._ids, self.spans, self._stack,
-                                       self._clock)
+        ids, spans, stack_of = self._ids, self.spans, self._stack
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -145,8 +142,6 @@ class SpanTracer:
     def reset(self) -> None:
         """Forget what was recorded (installed wrappers keep working)."""
         self.spans.clear()
-        for hits in self.counts.values():
-            hits.clear()
         self.sizes.clear()
 
     # -- installation -------------------------------------------------
@@ -154,14 +149,6 @@ class SpanTracer:
         if kind == "property":
             prop = original
             return property(self.traced(name, prop.fget))  # type: ignore
-        if kind == "count":
-            hits = self.counts.setdefault(name, [])
-
-            @functools.wraps(original)  # type: ignore[arg-type]
-            def counted(*args, **kwargs):
-                hits.append(None)
-                return original(*args, **kwargs)  # type: ignore[operator]
-            return counted
         traced = self.traced(name, original)  # type: ignore[arg-type]
         if kind == "evaluate":
             compute_name = "serve.batching.compute"
@@ -305,7 +292,8 @@ def layer_metrics(profile, tracer: SpanTracer, ops: int,
     # claimed ones: a client span can end before the server span under
     # it returns, so self times of one request may overlap.
     claimed = {site for sites in SELF_TIME_METRICS.values()
-               for site in sites} | {"core.index.build"}
+               for site in sites} | {"core.index.build",
+                                     "core.explore.branch_open"}
     unattributed = sum(stats.self_s for stats in profile.sites
                        if stats.site not in claimed)
     evaluations = count("serve.batching.evaluate")
@@ -316,7 +304,7 @@ def layer_metrics(profile, tracer: SpanTracer, ops: int,
             1e3 * sum(builds) / len(builds) if builds else 0.0,
         "core.index.builds": float(count("core.index.build")),
         "core.explore.branches_opened":
-            len(tracer.counts.get("core.explore.branch_open", ())) * per_op,
+            count("core.explore.branch_open") * per_op,
         "core.explore.frontier_adds":
             count("core.explore.frontier_add") * per_op,
         "core.layer.epoch_calls": count("core.layer.epoch") * per_op,

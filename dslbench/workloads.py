@@ -14,6 +14,7 @@ oracles after it, so checking costs no measured time.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -43,11 +44,6 @@ from oracles import CellTable, check_frontier, check_step, pareto_front
 CLIENTS = 2
 #: Walks each client runs per churn round.
 WALKS_PER_ROUND = 2
-#: Write-probe pairs run before and again after the measured phase of
-#: the workloads that do not mutate while measuring.  Probing outside
-#: the phase keeps it free of rebuilds and cold caches; probing on both
-#: sides of it samples two moments of a host whose speed drifts.
-PROBE_PAIRS = 2
 
 clock = time.perf_counter
 
@@ -82,6 +78,12 @@ class Workload:
     name = ""
     #: Span name of one operation in the traced run.
     op_span = ""
+    #: Write-probe pairs run before and again after the measured phase
+    #: of the workloads that do not mutate while measuring.  Probing
+    #: outside the phase keeps it free of rebuilds and cold caches;
+    #: probing on both sides of it samples two moments of a host whose
+    #: speed drifts.
+    probe_pairs = 2
 
     def __init__(self, seed: int, cores: int) -> None:
         self.seed = seed
@@ -119,10 +121,15 @@ class Workload:
         raise NotImplementedError
 
     def write_probes(self, phase: Phase) -> None:
-        """:data:`PROBE_PAIRS` times: add the churn core and time the
+        """:attr:`probe_pairs` times: add the churn core and time the
         first operation after it, then remove it and time again, so the
         library ends as it began.  Probe operations are checked but are
-        not latency samples."""
+        not latency samples.
+
+        Each probe starts after a full, untimed garbage collection, so
+        whether the collector's full pass over the heap (~0.1 s) falls
+        inside a probe does not depend on the garbage earlier probes
+        left behind."""
         raise NotImplementedError
 
     def invalidations(self) -> int:
@@ -195,7 +202,8 @@ class ExploreWorkload(Workload):
         return phase
 
     def write_probes(self, phase: Phase) -> None:
-        for _ in range(2 * PROBE_PAIRS):
+        for _ in range(2 * self.probe_pairs):
+            gc.collect()
             mutated = clock()
             self.mutate()
             phase.write_to_read.append(
@@ -219,6 +227,9 @@ class Answer:
 class ServeWorkload(Workload):
     name = "serve-fresh"
     op_span = "serve.http.request"
+    #: Served probes varied about twice as much as explore probes, so
+    #: their median takes twice the samples.
+    probe_pairs = 4
 
     def __init__(self, seed: int, cores: int) -> None:
         super().__init__(seed, cores)
@@ -341,7 +352,8 @@ class ServeWorkload(Workload):
         """The probe operation is a ``session/open`` (closed again)."""
         client = self._client()
         log: List[Answer] = []
-        for _ in range(2 * PROBE_PAIRS):
+        for _ in range(2 * self.probe_pairs):
+            gc.collect()
             mutated = clock()
             self.mutate()
             opened = self._request(client, "session/open",
